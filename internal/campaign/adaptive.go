@@ -2,8 +2,8 @@ package campaign
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 
 	"propane/internal/estimate"
@@ -11,7 +11,6 @@ import (
 	"propane/internal/model"
 	"propane/internal/sim"
 	"propane/internal/stats"
-	"propane/internal/trace"
 )
 
 // Adaptive sequential estimation. The fixed campaign matrix injects
@@ -20,16 +19,16 @@ import (
 // uncertain. Adaptive mode replaces the enumeration with sequential
 // sampling: per injection location (module input), jobs are drawn in a
 // deterministic pseudo-random order from the location's *fireable*
-// population (the golden read log proves, per (case, instant), whether
-// a trap can fire at all — provably unfired jobs contribute nothing to
-// any estimate and are excluded up front), and sampling stops at the
-// first batch checkpoint where every pair of the location — plus the
-// location's system-propagation fraction — has a conservative
-// confidence interval (Wilson ∪ Clopper-Pearson at a
+// population (the golden pass's reads prove, per (case, instant),
+// whether a trap can fire at all — provably unfired jobs contribute
+// nothing to any estimate and are excluded up front), and sampling
+// stops at the first batch checkpoint where every pair of the location
+// — plus the location's system-propagation fraction — has a
+// conservative confidence interval (Wilson ∪ Clopper-Pearson at a
 // Bonferroni-corrected level, see internal/stats) with half-width
-// ≤ ε. Locations whose population is empty are degenerate: the
-// analytical read-log bound proves no sample can fire, so they stop
-// with zero samples, exactly matching the full matrix's estimate of 0.
+// ≤ ε. Locations whose population is empty are degenerate: the golden
+// reads prove no sample can fire, so they stop with zero samples,
+// exactly matching the full matrix's estimate of 0.
 //
 // Determinism of the stopping decision is the load-bearing property:
 // the job set must be a pure function of (config, ε), never of worker
@@ -148,7 +147,7 @@ type AdaptiveStats struct {
 	Epsilon, Alpha float64
 	// FullRuns is the fixed-matrix job count this campaign replaces.
 	FullRuns int
-	// Population counts the fireable jobs (golden read log) across all
+	// Population counts the fireable jobs (golden reads) across all
 	// locations; Scheduled the jobs the stopping rule actually asked
 	// for.
 	Population, Scheduled int
@@ -163,10 +162,11 @@ type schedJob struct {
 	planIdx, caseIdx int
 }
 
-// schedKey addresses a sample by content, matching journal identity.
-type schedKey struct {
-	inj     string
-	caseIdx int
+// schedRef locates a sample in the schedule: its location and its
+// position in the location's sample order. loc is -1 for a job
+// outside the schedule (a provably unfired one).
+type schedRef struct {
+	loc, pos int32
 }
 
 // schedContrib is one settled sample's tally contribution.
@@ -218,39 +218,50 @@ type adaptiveScheduler struct {
 	window     sim.Millis
 	eps, alpha float64
 
-	mu    sync.Mutex
-	locs  []*schedLocation
-	byKey map[schedKey][2]int // -> (location, position)
-	wake  chan struct{}
+	mu   sync.Mutex
+	locs []*schedLocation
+	// planIdx resolves a sample's injection to its plan entry (content
+	// identity, as in the journal); refs is indexed by plan index ×
+	// cases + case index.
+	planIdx map[inject.Key]int
+	cases   int
+	refs    []schedRef
+	wake    chan struct{}
 
 	population, dispatched, settled, fullRuns int
 }
 
 // newAdaptiveScheduler builds the deterministic sampling schedule: per
-// location, the fireable jobs (per the golden read log) in
+// location, the fireable jobs (per the golden firing predictions) in
 // hash-permuted order, seeded with importance priors from the
 // analytical prediction.
-func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredictions, pred *estimate.Prediction) (*adaptiveScheduler, error) {
-	if preds == nil {
-		return nil, invalidf("campaign: adaptive sampling needs golden-run predictions")
-	}
+func newAdaptiveScheduler(cfg Config, plan []inject.Injection, golden *GoldenSet, pred *estimate.Prediction) (*adaptiveScheduler, error) {
 	sys := cfg.topology()
 	s := &adaptiveScheduler{
 		window:   cfg.DirectWindowMs,
 		eps:      cfg.ResolvedCIEpsilon(),
-		byKey:    make(map[schedKey][2]int),
+		planIdx:  make(map[inject.Key]int, len(plan)),
+		cases:    len(cfg.TestCases),
+		refs:     make([]schedRef, len(plan)*len(cfg.TestCases)),
 		wake:     make(chan struct{}, 1),
 		fullRuns: len(plan) * len(cfg.TestCases),
 	}
-	persistent := cfg.FaultDurationMs > 0
 	locIdx := make(map[[2]string]int)
 	type orderedJob struct {
 		key uint64
-		tie string
 		job schedJob
 	}
 	perLoc := make(map[int][]orderedJob)
+	// tie is a job's identity string: FNV-1a of it orders the job, and
+	// the string itself breaks hash ties.
+	tie := func(j schedJob) string {
+		return plan[j.planIdx].String() + "#" + strconv.Itoa(j.caseIdx)
+	}
+	for i := range s.refs {
+		s.refs[i].loc = -1
+	}
 	for pi, inj := range plan {
+		s.planIdx[inj.Key()] = pi
 		lk := [2]string{inj.Module, inj.Signal}
 		li, ok := locIdx[lk]
 		if !ok {
@@ -271,22 +282,17 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 			s.locs = append(s.locs, loc)
 		}
 		pk := portKey{module: inj.Module, signal: inj.Signal}
+		var prefix uint64 // FNV-1a state after tie's "<injection>#"
 		for ci := range cfg.TestCases {
-			fires := false
-			if persistent {
-				fires = preds[ci].persistent[pk][inj.At].fires
-			} else {
-				fires = preds[ci].transient[pk][inj.At].fires
-			}
-			if !fires {
+			if !golden.Cases[ci].fires(pk, inj.At) {
 				continue
 			}
-			tie := fmt.Sprintf("%s#%d", inj.String(), ci)
-			h := fnv.New64a()
-			h.Write([]byte(tie))
+			if prefix == 0 {
+				prefix = fnv1a(fnv1a(fnvOffset64, []byte(inj.String())), []byte{'#'})
+			}
+			var digits [20]byte
 			perLoc[li] = append(perLoc[li], orderedJob{
-				key: h.Sum64(),
-				tie: tie,
+				key: fnv1a(prefix, strconv.AppendInt(digits[:0], int64(ci), 10)),
 				job: schedJob{planIdx: pi, caseIdx: ci},
 			})
 		}
@@ -301,11 +307,12 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 			if jobs[a].key != jobs[b].key {
 				return jobs[a].key < jobs[b].key
 			}
-			return jobs[a].tie < jobs[b].tie
+			return tie(jobs[a].job) < tie(jobs[b].job)
 		})
+		loc.jobs = make([]schedJob, len(jobs))
 		for pos, oj := range jobs {
-			s.byKey[schedKey{inj: plan[oj.job.planIdx].String(), caseIdx: oj.job.caseIdx}] = [2]int{li, pos}
-			loc.jobs = append(loc.jobs, oj.job)
+			s.refs[oj.job.planIdx*s.cases+oj.job.caseIdx] = schedRef{loc: int32(li), pos: int32(pos)}
+			loc.jobs[pos] = oj.job
 		}
 		loc.contrib = make([]schedContrib, len(loc.jobs))
 		loc.checkpoint = adaptivePilot
@@ -313,7 +320,7 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 			loc.checkpoint = len(loc.jobs)
 		}
 		if len(loc.jobs) == 0 {
-			// Degenerate: the read log proves no sample can fire —
+			// Degenerate: the golden reads prove no sample can fire —
 			// every estimate of this location is exactly 0 with or
 			// without sampling.
 			loc.stopped = true
@@ -333,12 +340,36 @@ func newAdaptiveScheduler(cfg Config, plan []inject.Injection, preds []casePredi
 	return s, nil
 }
 
+// ref locates one (injection, test case) sample in the schedule.
+func (s *adaptiveScheduler) ref(inj inject.Injection, caseIdx int) (schedRef, bool) {
+	pi, ok := s.planIdx[inj.Key()]
+	if !ok || caseIdx < 0 || caseIdx >= s.cases {
+		return schedRef{}, false
+	}
+	r := s.refs[pi*s.cases+caseIdx]
+	return r, r.loc >= 0
+}
+
+// FNV-1a (64-bit) parameters, as in hash/fnv.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a continues an FNV-1a hash over b.
+func fnv1a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // observe folds one settled sample into the tallies, advancing the
 // location's settled prefix and evaluating any batch checkpoint the
 // prefix reaches. It returns the sample's batch ordinal (1-based),
 // recorded on the journal as RunRecord.Round.
 func (s *adaptiveScheduler) observe(out runOutcome) (int, error) {
-	key := schedKey{inj: out.injection.String(), caseIdx: out.caseIdx}
 	s.mu.Lock()
 	defer func() {
 		s.mu.Unlock()
@@ -347,11 +378,11 @@ func (s *adaptiveScheduler) observe(out runOutcome) (int, error) {
 		default:
 		}
 	}()
-	ref, ok := s.byKey[key]
+	ref, ok := s.ref(out.injection, out.caseIdx)
 	if !ok {
 		return 0, fmt.Errorf("campaign: adaptive scheduler got a record outside its schedule: %v case %d", out.injection, out.caseIdx)
 	}
-	loc, pos := s.locs[ref[0]], ref[1]
+	loc, pos := s.locs[ref.loc], int(ref.pos)
 	if loc.contrib[pos].settled {
 		return 0, fmt.Errorf("campaign: adaptive scheduler got %v case %d twice", out.injection, out.caseIdx)
 	}
@@ -533,38 +564,6 @@ func (s *adaptiveScheduler) stats() AdaptiveStats {
 	return st
 }
 
-// goldenActivity measures, per signal, the mean fraction of golden-run
-// ticks on which the signal changed value — the activity weights the
-// analytical estimator (internal/estimate) sharpens its priors with.
-func goldenActivity(goldens []*trace.Trace) map[string]float64 {
-	if len(goldens) == 0 {
-		return nil
-	}
-	acc := make(map[string]float64)
-	for _, g := range goldens {
-		if g == nil {
-			continue
-		}
-		for _, sig := range g.Signals() {
-			samples, err := g.Samples(sig)
-			if err != nil || len(samples) < 2 {
-				continue
-			}
-			changes := 0
-			for i := 1; i < len(samples); i++ {
-				if samples[i] != samples[i-1] {
-					changes++
-				}
-			}
-			acc[sig] += float64(changes) / float64(len(samples)-1)
-		}
-	}
-	for k := range acc {
-		acc[k] /= float64(len(goldens))
-	}
-	return acc
-}
-
 // AdaptivePlanner exposes the sequential sampling schedule to external
 // execution drivers: internal/runner's Assemble proves journal
 // coverage against it, and the distributed coordinator carves work
@@ -580,9 +579,9 @@ type AdaptivePlanner struct {
 }
 
 // NewAdaptivePlanner builds the deterministic sampling schedule for an
-// adaptive configuration. It records the golden runs (with read-log
-// capture) to derive the fireable populations and the analytical
-// priors; the cost is one uninjected pass per test case.
+// adaptive configuration. It derives the fireable populations and the
+// analytical priors from the golden artifact — Config.Golden when
+// supplied, else one uninjected pass per test case.
 func NewAdaptivePlanner(cfg Config) (*AdaptivePlanner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -590,7 +589,7 @@ func NewAdaptivePlanner(cfg Config) (*AdaptivePlanner, error) {
 	if !cfg.adaptiveEnabled() {
 		return nil, invalidf("campaign: configuration is not adaptive")
 	}
-	goldens, preds, err := goldenRuns(cfg)
+	golden, err := cfg.golden()
 	if err != nil {
 		return nil, err
 	}
@@ -599,8 +598,8 @@ func NewAdaptivePlanner(cfg Config) (*AdaptivePlanner, error) {
 		return nil, err
 	}
 	sys := cfg.topology()
-	pred := estimate.Predict(sys, estimate.Options{Activity: goldenActivity(goldens)})
-	sched, err := newAdaptiveScheduler(cfg, plan, preds, pred)
+	pred := estimate.Predict(sys, estimate.Options{Activity: golden.activity()})
+	sched, err := newAdaptiveScheduler(cfg, plan, golden, pred)
 	if err != nil {
 		return nil, err
 	}

@@ -72,7 +72,7 @@ type Config struct {
 	Checkpoints CheckpointMode
 	// Prune selects equivalence pruning and run-result memoization
 	// (see PruneMode): the default PruneAuto short-circuits injections
-	// the golden run's read log proves unfired or no-op, serves
+	// the golden run's reads prove unfired or no-op, serves
 	// repeated experiments from a bounded result cache, and stops
 	// executing runs whose state has reconverged to the golden run's at
 	// a checkpoint instant. Results are bit-identical either way;
@@ -177,6 +177,13 @@ type Config struct {
 	// called from the dispatch goroutine, concurrently with Observer —
 	// implementations must be safe for that (e.g. an atomic flag).
 	Abort func() bool
+	// Golden, when non-nil, is the configuration's golden artifact
+	// (ComputeGolden), used instead of recording one. It must come from
+	// a configuration with the same target, test cases, instants,
+	// horizon and fault duration; Run checks the shape but cannot see
+	// the target's dynamics. internal/runner fills it from a table
+	// keyed by config digest, which pins the dynamics too.
+	Golden *GoldenSet
 
 	// defect records a construction-time failure of a preset
 	// constructor (e.g. ReducedConfig); Validate surfaces it joined to
@@ -572,7 +579,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	sys := cfg.topology()
 
-	goldens, preds, err := goldenRuns(cfg)
+	golden, err := cfg.golden()
 	if err != nil {
 		return nil, err
 	}
@@ -586,19 +593,20 @@ func Run(cfg Config) (*Result, error) {
 		inj     inject.Injection
 		caseIdx int
 	}
-	// The analytical forecast is cheap (pure topology arithmetic plus
-	// one pass over the golden traces) and always attached to the
-	// result; adaptive campaigns additionally use it to importance-order
-	// their sampling.
-	pred := estimate.Predict(sys, estimate.Options{Activity: goldenActivity(goldens)})
+	// The analytical forecast is cheap (pure topology arithmetic over
+	// the golden activity weights) and always attached to the result;
+	// adaptive campaigns additionally use it to importance-order their
+	// sampling.
+	pred := estimate.Predict(sys, estimate.Options{Activity: golden.activity()})
 	adaptive := cfg.adaptiveEnabled()
 	// Materialise the job list up front (applying Skip) so that, when
 	// checkpointing is active, jobs can be grouped by (test case,
-	// injection instant): every group shares one cached snapshot, so
-	// the grouping turns the cache's lazy build passes into long runs
-	// of hits. Aggregation is order-independent and journal records
-	// identify jobs by content, so the ordering is free to choose.
-	// Adaptive campaigns skip the list: the scheduler owns dispatch.
+	// injection instant): every group restores one snapshot and shares
+	// one state digest, so its memo entries are reused while they are
+	// the cache's most recent. Aggregation is order-independent and
+	// journal records identify jobs by content, so the ordering is
+	// free to choose. Adaptive campaigns skip the list: the scheduler
+	// owns dispatch.
 	var jobList []job
 	if !adaptive {
 		for _, inj := range plan {
@@ -610,23 +618,29 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 	}
-	var ckpts *checkpointCache
-	if (adaptive || len(jobList) > 0) && cfg.checkpointsEnabled() {
-		ckpts = newCheckpointCache(cfg)
-		sort.SliceStable(jobList, func(i, j int) bool {
-			if jobList[i].caseIdx != jobList[j].caseIdx {
-				return jobList[i].caseIdx < jobList[j].caseIdx
-			}
-			return jobList[i].inj.At < jobList[j].inj.At
-		})
+	var ckpts *GoldenSet
+	if (adaptive || len(jobList) > 0) && cfg.checkpointsAllowed() {
+		ok, err := golden.checkpointable()
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			ckpts = golden
+			sort.SliceStable(jobList, func(i, j int) bool {
+				if jobList[i].caseIdx != jobList[j].caseIdx {
+					return jobList[i].caseIdx < jobList[j].caseIdx
+				}
+				return jobList[i].inj.At < jobList[j].inj.At
+			})
+		}
 	}
 	var pr *pruner
-	if (adaptive || len(jobList) > 0) && preds != nil && cfg.pruningEnabled() {
-		pr = newPruner(cfg, preds)
+	if (adaptive || len(jobList) > 0) && cfg.pruningEnabled() {
+		pr = newPruner(cfg, golden)
 	}
 	var sched *adaptiveScheduler
 	if adaptive {
-		sched, err = newAdaptiveScheduler(cfg, plan, preds, pred)
+		sched, err = newAdaptiveScheduler(cfg, plan, golden, pred)
 		if err != nil {
 			return nil, err
 		}
@@ -664,7 +678,7 @@ func Run(cfg Config) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				out, err := superviseJob(cfg, sys, goldens[j.caseIdx], j.caseIdx, j.inj, ckpts, pr)
+				out, err := superviseJob(cfg, sys, golden.Cases[j.caseIdx].Trace, j.caseIdx, j.inj, ckpts, pr)
 				if err != nil {
 					fail(err)
 					continue // keep draining jobs so the feeder never blocks
@@ -805,92 +819,11 @@ func workerCount(configured int) int {
 	return configured
 }
 
-// goldenRuns records one Golden Run per test case, fanned out over
-// the same worker-pool pattern Run uses for injection jobs (each run
-// is fully independent and deterministic, so the resulting traces are
-// identical to a serial recording). When the campaign prunes, each
-// golden run additionally captures the instrumented-read log and
-// distills it into the per-case firing predictions; the returned
-// predictions are nil otherwise.
-func goldenRuns(cfg Config) ([]*trace.Trace, []casePredictions, error) {
-	capture := cfg.pruningEnabled() || cfg.adaptiveEnabled()
-	goldens := make([]*trace.Trace, len(cfg.TestCases))
-	var preds []casePredictions
-	if capture {
-		preds = make([]casePredictions, len(cfg.TestCases))
-	}
-	errs := make([]error, len(cfg.TestCases))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workerCount(cfg.Workers); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				var p casePredictions
-				goldens[i], p, errs[i] = goldenRun(cfg, i, capture)
-				if capture {
-					preds[i] = p
-				}
-			}
-		}()
-	}
-	for i := range cfg.TestCases {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return goldens, preds, nil
-}
-
-// goldenRun records the Golden Run of one test case, optionally
-// logging every instrumented read for the pruning predictions. The
-// read hook only observes, so the recorded trace is bit-identical
-// with and without it.
-func goldenRun(cfg Config, i int, capture bool) (*trace.Trace, casePredictions, error) {
-	var lg *readLog
-	var hook sim.ReadHook
-	if capture {
-		lg = newReadLog()
-		hook = lg.hook()
-	}
-	inst, err := cfg.NewInstance(cfg.TestCases[i], hook)
-	if err != nil {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d: %w", i, err)
-	}
-	rec, err := trace.NewRecorderCap(inst.Bus(), int(cfg.HorizonMs))
-	if err != nil {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d: %w", i, err)
-	}
-	inst.Kernel().AddPostHook(rec.Hook())
-	inst.Kernel().SetBudget(cfg.Budget)
-	// A golden run is uninjected: a crash or hang here is a broken
-	// target or an undersized budget, not a result.
-	if crashed, pv := runGuarded(inst, cfg.HorizonMs); crashed {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d crashed: %v", i, pv)
-	}
-	if inst.Kernel().Exhausted() {
-		return nil, casePredictions{}, fmt.Errorf("campaign: golden run %d exceeded the run budget (%d steps used) — raise Config.Budget or fix the target", i, inst.Kernel().BudgetUsed())
-	}
-	var preds casePredictions
-	if capture {
-		// Distill immediately so the raw event slices (potentially a
-		// couple of MB per case) are garbage-collected here.
-		preds = lg.distill(cfg.Times, cfg.FaultDurationMs)
-	}
-	return rec.Trace(), preds, nil
-}
-
 // superviseJob drives one injection job to a settled outcome under
 // the fault-isolation policy: worker panics become errors, errors
 // consult Config.OnJobError, and a quarantined job yields an
 // OutcomeQuarantined record instead of failing the campaign.
-func superviseJob(cfg Config, sys *model.System, golden *trace.Trace, caseIdx int, inj inject.Injection, ckpts *checkpointCache, pr *pruner) (runOutcome, error) {
+func superviseJob(cfg Config, sys *model.System, golden *trace.Trace, caseIdx int, inj inject.Injection, ckpts *GoldenSet, pr *pruner) (runOutcome, error) {
 	attempt := 0
 	for {
 		out, err := supervisedRun(cfg, sys, golden, caseIdx, inj, ckpts, pr)
@@ -924,7 +857,7 @@ func superviseJob(cfg Config, sys *model.System, golden *trace.Trace, caseIdx in
 // isolation: a panic outside the guarded target execution (instance
 // construction, instrumentation, comparison setup) is converted into
 // an error so the retry/quarantine policy can handle it.
-func supervisedRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx int, inj inject.Injection, ckpts *checkpointCache, pr *pruner) (out runOutcome, err error) {
+func supervisedRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx int, inj inject.Injection, ckpts *GoldenSet, pr *pruner) (out runOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("campaign: worker panic on %v case %d: %v", inj, caseIdx, r)
@@ -948,15 +881,15 @@ func runGuarded(inst RunnableInstance, horizon sim.Millis) (crashed bool, panicV
 }
 
 // injectionRun executes one injection run against one test case and
-// returns its outcome. With a checkpoint cache available it restores
-// the (case, instant) snapshot and simulates only [At, horizon);
+// returns its outcome. With checkpoints on (ckpts non-nil) it restores
+// the golden (case, instant) snapshot and simulates only [At, horizon);
 // otherwise it replays from t=0. The two paths are bit-identical: a
 // trap has no effect before its arm time, so the skipped prefix is
 // exactly the uninjected prefix the snapshot captured. With a pruner
 // available the job may be settled without simulating at all (see
 // prune.go), and an executing transient run is probed at later
 // checkpoint instants for reconvergence to the golden state.
-func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx int, inj inject.Injection, ckpts *checkpointCache, pr *pruner) (runOutcome, error) {
+func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx int, inj inject.Injection, ckpts *GoldenSet, pr *pruner) (runOutcome, error) {
 	// armedTrap unifies the transient (paper) and persistent traps.
 	type armedTrap interface {
 		Hook() sim.ReadHook
@@ -970,13 +903,7 @@ func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx in
 	}
 	var snap *sim.Snapshot
 	if ckpts != nil {
-		var err error
-		snap, err = ckpts.get(caseIdx, inj.At)
-		if err != nil {
-			// Cache failures flow through the same retry/quarantine
-			// policy as any other job infrastructure error.
-			return runOutcome{}, err
-		}
+		snap = ckpts.snapshot(caseIdx, inj.At)
 	}
 	var mk *MemoKey
 	if pr != nil {
@@ -1069,13 +996,13 @@ func injectionRun(cfg Config, sys *model.System, golden *trace.Trace, caseIdx in
 // golden) nor hang (the golden run finished within budget, and the
 // step accounting matched when a step budget is armed) — so the run
 // stops early, reported as converged.
-func executeToHorizon(cfg Config, inst RunnableInstance, fired func() (sim.Millis, bool), caseIdx int, at sim.Millis, ckpts *checkpointCache, pr *pruner) (crashed bool, panicVal any, converged bool) {
+func executeToHorizon(cfg Config, inst RunnableInstance, fired func() (sim.Millis, bool), caseIdx int, at sim.Millis, ckpts *GoldenSet, pr *pruner) (crashed bool, panicVal any, converged bool) {
 	ck, checkpointable := inst.(target.Checkpointable)
 	if pr == nil || ckpts == nil || !checkpointable || cfg.FaultDurationMs > 0 {
 		crashed, panicVal = runGuarded(inst, cfg.HorizonMs)
 		return crashed, panicVal, false
 	}
-	for _, ct := range ckpts.instants() {
+	for _, ct := range ckpts.times {
 		if ct <= at {
 			continue
 		}
@@ -1085,8 +1012,8 @@ func executeToHorizon(cfg Config, inst RunnableInstance, fired func() (sim.Milli
 		if _, hasFired := fired(); !hasFired {
 			continue
 		}
-		g, err := ckpts.get(caseIdx, ct)
-		if err != nil || g == nil {
+		g := ckpts.snapshot(caseIdx, ct)
+		if g == nil {
 			// Probing is opportunistic: without a golden snapshot here,
 			// just keep simulating.
 			continue

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 
 	"propane/internal/inject"
@@ -23,7 +22,7 @@ import (
 //     to the golden run, so golden reads predict injected reads
 //     exactly; a port the golden run never reads at or after the
 //     instant yields an unfired run with an empty comparison.
-//   - No-op: the same read log carries the value the trap would
+//   - No-op: the same reads carry the value the trap would
 //     mutate. When Mutate(v) == v the trap writes back the value that
 //     was already there — the run completes as ok with no deviations,
 //     without simulating.
@@ -68,7 +67,7 @@ const (
 // records) for runs whose outcome was obtained without a full
 // execution. The empty string marks a fully executed run.
 const (
-	// PrunedUnfired: the golden read log proves the trap cannot fire.
+	// PrunedUnfired: the golden reads prove the trap cannot fire.
 	PrunedUnfired = "unfired"
 	// PrunedNoOp: the corrupted value equals the golden value at the
 	// firing read, so the injection changes nothing.
@@ -149,9 +148,9 @@ func (ps PruneStats) Total() int {
 }
 
 // pruningEnabled decides whether this campaign prunes. Unlike
-// checkpointsEnabled it needs no target capability probe: the read-log
+// checkpoints it needs no target capability: the read-based
 // classifications are sound for any target, and the checkpoint-based
-// convergence probe simply stays off when no checkpoint cache exists.
+// convergence probe simply stays off when checkpoints are.
 func (c Config) pruningEnabled() bool {
 	switch c.Prune {
 	case PruneOff:
@@ -169,31 +168,55 @@ type portKey struct {
 	module, signal string
 }
 
-// readEvent is one instrumented read observed on the golden run: the
-// simulated tick and the pre-read signal value — exactly what a trap
-// armed on this port would see and mutate.
-type readEvent struct {
-	tick  sim.Millis
-	value uint16
+// readPredictor is the golden pass's streaming read hook: it distils
+// each instrumented read into the firing predictions of the instants
+// it resolves, as the read happens. Written from a single goroutine
+// (the case's golden pass), so it needs no locking.
+type readPredictor struct {
+	times []sim.Millis // distinct injection instants, ascending
+	dur   sim.Millis   // Config.FaultDurationMs
+	ports map[portKey]*portPreds
 }
 
-// readLog records every instrumented read of one golden run. It is
-// written from a single goroutine (the case's golden run) and only
-// distilled afterwards, so it needs no locking.
-type readLog struct {
-	events map[portKey][]readEvent
+// portPreds is one port's predictions, indexed like readPredictor.times
+// (transient when dur is 0, persistent otherwise). next is the first
+// instant the port's reads have not resolved yet: for a transient trap
+// the first instant still waiting for a read at or after it, for a
+// persistent one the first window not yet closed.
+type portPreds struct {
+	next       int
+	transient  []transientPred
+	persistent []persistentPred
 }
 
-func newReadLog() *readLog {
-	return &readLog{events: make(map[portKey][]readEvent)}
-}
-
-// hook returns the recording sim.ReadHook. It observes only — the
-// golden run with this hook installed is bit-identical to one without.
-func (l *readLog) hook() sim.ReadHook {
-	return func(module, signal string, sig *sim.Signal, now sim.Millis) {
-		k := portKey{module: module, signal: signal}
-		l.events[k] = append(l.events[k], readEvent{tick: now, value: sig.Read()})
+// hook observes only — the golden run with it installed is
+// bit-identical to one without. Reads arrive in tick order, so a read
+// at tick now is the first read at or after every instant it resolves.
+func (rp *readPredictor) hook(module, signal string, sig *sim.Signal, now sim.Millis) {
+	k := portKey{module: module, signal: signal}
+	pp := rp.ports[k]
+	if pp == nil {
+		pp = &portPreds{}
+		if rp.dur > 0 {
+			pp.persistent = make([]persistentPred, len(rp.times))
+		} else {
+			pp.transient = make([]transientPred, len(rp.times))
+		}
+		rp.ports[k] = pp
+	}
+	if rp.dur <= 0 {
+		for ; pp.next < len(rp.times) && rp.times[pp.next] <= now; pp.next++ {
+			pp.transient[pp.next] = transientPred{fires: true, fireTick: now, value: sig.Read()}
+		}
+		return
+	}
+	// Every window has the same length, so windows close in instant
+	// order: [At, At+dur] is closed once a read lands after its end.
+	for pp.next < len(rp.times) && rp.times[pp.next]+rp.dur < now {
+		pp.next++
+	}
+	for i := pp.next; i < len(rp.times) && rp.times[i] <= now; i++ {
+		pp.persistent[i].observe(now, sig.Read())
 	}
 }
 
@@ -223,63 +246,26 @@ type persistentPred struct {
 // prediction; windows richer than this are executed unconditionally.
 const maxPersistentValues = 64
 
-// casePredictions is one test case's distilled read log: one
-// prediction per (instrumented port, injection instant). Ports the
-// golden run never reads have no entry; the zero-valued prediction a
-// lookup then returns means "cannot fire", which is exactly right.
-type casePredictions struct {
-	transient  map[portKey]map[sim.Millis]transientPred
-	persistent map[portKey]map[sim.Millis]persistentPred
-}
-
-// distill reduces the raw read log to per-instant predictions so the
-// (potentially large) event slices can be garbage-collected.
-func (l *readLog) distill(times []sim.Millis, faultDuration sim.Millis) casePredictions {
-	cp := casePredictions{}
-	if faultDuration <= 0 {
-		cp.transient = make(map[portKey]map[sim.Millis]transientPred, len(l.events))
-		for k, evs := range l.events {
-			m := make(map[sim.Millis]transientPred, len(times))
-			for _, at := range times {
-				// Events are appended in tick order; the first one at or
-				// after the arm time is the firing read.
-				i := sort.Search(len(evs), func(i int) bool { return evs[i].tick >= at })
-				p := transientPred{}
-				if i < len(evs) {
-					p = transientPred{fires: true, fireTick: evs[i].tick, value: evs[i].value}
-				}
-				m[at] = p
-			}
-			cp.transient[k] = m
-		}
-		return cp
+// observe folds one read inside the window into the prediction,
+// keeping distinct values in first-seen order until the set outgrows
+// maxPersistentValues.
+func (p *persistentPred) observe(now sim.Millis, v uint16) {
+	if p.unprunable {
+		return
 	}
-	cp.persistent = make(map[portKey]map[sim.Millis]persistentPred, len(l.events))
-	for k, evs := range l.events {
-		m := make(map[sim.Millis]persistentPred, len(times))
-		for _, at := range times {
-			i := sort.Search(len(evs), func(i int) bool { return evs[i].tick >= at })
-			p := persistentPred{}
-			seen := make(map[uint16]bool)
-			for ; i < len(evs) && evs[i].tick <= at+faultDuration; i++ {
-				if !p.fires {
-					p.fires = true
-					p.fireTick = evs[i].tick
-				}
-				if !seen[evs[i].value] {
-					seen[evs[i].value] = true
-					p.values = append(p.values, evs[i].value)
-					if len(p.values) > maxPersistentValues {
-						p.unprunable = true
-						break
-					}
-				}
-			}
-			m[at] = p
-		}
-		cp.persistent[k] = m
+	if !p.fires {
+		p.fires = true
+		p.fireTick = now
 	}
-	return cp
+	for _, seen := range p.values {
+		if seen == v {
+			return
+		}
+	}
+	p.values = append(p.values, v)
+	if len(p.values) > maxPersistentValues {
+		p.unprunable = true
+	}
 }
 
 // The MemoKey components: the test case (construction parameters are
@@ -372,7 +358,7 @@ type digestKey struct {
 // collects memoized results. Shared across the campaign's workers.
 type pruner struct {
 	cfg     Config
-	preds   []casePredictions // per test case
+	golden  *GoldenSet
 	memo    *memoCache
 	backend MemoBackend // optional L2, consulted on L1 misses
 
@@ -380,10 +366,10 @@ type pruner struct {
 	digests map[digestKey]string
 }
 
-func newPruner(cfg Config, preds []casePredictions) *pruner {
+func newPruner(cfg Config, golden *GoldenSet) *pruner {
 	return &pruner{
 		cfg:     cfg,
-		preds:   preds,
+		golden:  golden,
 		memo:    newMemoCache(cfg.memoBound),
 		backend: cfg.Memo,
 		digests: make(map[digestKey]string),
@@ -422,7 +408,7 @@ func (p *pruner) classify(sys *model.System, caseIdx int, inj inject.Injection, 
 	base := runOutcome{injection: inj, caseIdx: caseIdx, failureAt: -1}
 	pk := portKey{module: inj.Module, signal: inj.Signal}
 	if p.cfg.FaultDurationMs > 0 {
-		pred := p.preds[caseIdx].persistent[pk][inj.At]
+		pred := p.golden.Cases[caseIdx].persistent(pk, inj.At)
 		if !pred.fires {
 			base.outcome = OutcomeOK
 			base.pruned = PrunedUnfired
@@ -445,7 +431,7 @@ func (p *pruner) classify(sys *model.System, caseIdx int, inj inject.Injection, 
 		base.pruned = PrunedNoOp
 		return base, true, nil, nil
 	}
-	pred := p.preds[caseIdx].transient[pk][inj.At]
+	pred := p.golden.Cases[caseIdx].transient(pk, inj.At)
 	if !pred.fires {
 		// firedAt stays 0, matching an executed run's Trap.Fired() zero
 		// return; diffs stay nil — until a trap fires the run is the

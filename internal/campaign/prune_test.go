@@ -7,6 +7,8 @@ package campaign
 // checkpoint suite, stressing the shared memo cache.
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"propane/internal/inject"
@@ -196,5 +198,174 @@ func TestMemoCacheEviction(t *testing.T) {
 	}
 	if e, _ := mc.get(key(3)); e.Diffs["sig"].First != 4 {
 		t.Errorf("update did not replace the entry: %+v", e.Diffs["sig"])
+	}
+}
+
+// readEvent, readLog and distill are the whole-horizon read log the
+// golden pass kept before it distilled predictions as it ran: every
+// instrumented read appended to a per-port slice, then reduced per
+// instant by binary search. They survive here as the oracle the
+// streaming predictor must match.
+type readEvent struct {
+	tick  sim.Millis
+	value uint16
+}
+
+type readLog struct {
+	events map[portKey][]readEvent
+}
+
+func (l *readLog) hook(module, signal string, sig *sim.Signal, now sim.Millis) {
+	k := portKey{module: module, signal: signal}
+	l.events[k] = append(l.events[k], readEvent{tick: now, value: sig.Read()})
+}
+
+type oraclePredictions struct {
+	transient  map[portKey]map[sim.Millis]transientPred
+	persistent map[portKey]map[sim.Millis]persistentPred
+}
+
+func (l *readLog) distill(times []sim.Millis, faultDuration sim.Millis) oraclePredictions {
+	cp := oraclePredictions{}
+	if faultDuration <= 0 {
+		cp.transient = make(map[portKey]map[sim.Millis]transientPred, len(l.events))
+		for k, evs := range l.events {
+			m := make(map[sim.Millis]transientPred, len(times))
+			for _, at := range times {
+				i := sort.Search(len(evs), func(i int) bool { return evs[i].tick >= at })
+				p := transientPred{}
+				if i < len(evs) {
+					p = transientPred{fires: true, fireTick: evs[i].tick, value: evs[i].value}
+				}
+				m[at] = p
+			}
+			cp.transient[k] = m
+		}
+		return cp
+	}
+	cp.persistent = make(map[portKey]map[sim.Millis]persistentPred, len(l.events))
+	for k, evs := range l.events {
+		m := make(map[sim.Millis]persistentPred, len(times))
+		for _, at := range times {
+			i := sort.Search(len(evs), func(i int) bool { return evs[i].tick >= at })
+			p := persistentPred{}
+			seen := make(map[uint16]bool)
+			for ; i < len(evs) && evs[i].tick <= at+faultDuration; i++ {
+				if !p.fires {
+					p.fires = true
+					p.fireTick = evs[i].tick
+				}
+				if !seen[evs[i].value] {
+					seen[evs[i].value] = true
+					p.values = append(p.values, evs[i].value)
+					if len(p.values) > maxPersistentValues {
+						p.unprunable = true
+						break
+					}
+				}
+			}
+			m[at] = p
+		}
+		cp.persistent[k] = m
+	}
+	return cp
+}
+
+// oracleRun records one case's whole-horizon read log on an uninjected
+// run under the campaign's budget.
+func oracleRun(t *testing.T, cfg Config, i int) *readLog {
+	t.Helper()
+	lg := &readLog{events: make(map[portKey][]readEvent)}
+	inst, err := cfg.NewInstance(cfg.TestCases[i], lg.hook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Kernel().SetBudget(cfg.Budget)
+	if crashed, pv := runGuarded(inst, cfg.HorizonMs); crashed || inst.Kernel().Exhausted() {
+		t.Fatalf("oracle golden run %d failed: crashed %t (%v), exhausted %t", i, crashed, pv, inst.Kernel().Exhausted())
+	}
+	return lg
+}
+
+// TestStreamingPredictionsMatchReadLog proves the golden pass's
+// streaming predictor equals the whole-horizon read log it replaced,
+// on every target kind of the registry (the arrestor in its single and
+// dual deployments, autobrake, and the crash/hang-prone hostile
+// target), for transient faults and for persistent windows short and
+// long. The instant list ends one tick before the horizon, past the
+// last read of ports sampled less than every tick, and the long
+// windows read more than maxPersistentValues distinct values; both
+// corners are asserted to occur.
+func TestStreamingPredictionsMatchReadLog(t *testing.T) {
+	targets := map[string]func(t *testing.T) Config{
+		"arrestor": func(t *testing.T) Config { return tinyConfig() },
+		"dual": func(t *testing.T) Config {
+			cfg := tinyConfig()
+			cfg.Dual = true
+			return cfg
+		},
+		"autobrake": autobrakeConfig,
+		"hostile":   hostileConfig,
+	}
+	afterLastRead, unprunable := 0, 0
+	for name, mk := range targets {
+		base := mk(t)
+		// Duplicated and unsorted instants must resolve like sorted ones.
+		base.Times = append(append([]sim.Millis{base.HorizonMs - 1}, base.Times...), base.Times[0], 0)
+		for _, dur := range []sim.Millis{0, base.HorizonMs / 10, base.HorizonMs} {
+			cfg := base
+			cfg.FaultDurationMs = dur
+			gs, err := ComputeGolden(cfg)
+			if err != nil {
+				t.Fatalf("%s dur=%d: %v", name, dur, err)
+			}
+			for ci := range cfg.TestCases {
+				want := oracleRun(t, cfg, ci).distill(cfg.Times, dur)
+				g := gs.Cases[ci]
+				ports := make(map[portKey]bool)
+				for k := range want.transient {
+					ports[k] = true
+				}
+				for k := range want.persistent {
+					ports[k] = true
+				}
+				for k := range g.ports {
+					ports[k] = true
+				}
+				for pk := range ports {
+					for _, at := range cfg.Times {
+						if dur == 0 {
+							w, got := want.transient[pk][at], g.transient(pk, at)
+							if w != got {
+								t.Errorf("%s case %d %v t=%d: streamed %+v, read log %+v", name, ci, pk, at, got, w)
+							}
+							if len(want.transient[pk]) > 0 && !w.fires {
+								afterLastRead++
+							}
+							if g.fires(pk, at) != w.fires {
+								t.Errorf("%s case %d %v t=%d: fires disagrees with the prediction", name, ci, pk, at)
+							}
+							continue
+						}
+						w, got := want.persistent[pk][at], g.persistent(pk, at)
+						if !reflect.DeepEqual(w, got) {
+							t.Errorf("%s dur=%d case %d %v t=%d: streamed %+v, read log %+v", name, dur, ci, pk, at, got, w)
+						}
+						if w.unprunable {
+							unprunable++
+						}
+						if g.fires(pk, at) != w.fires {
+							t.Errorf("%s dur=%d case %d %v t=%d: fires disagrees with the prediction", name, dur, ci, pk, at)
+						}
+					}
+				}
+			}
+		}
+	}
+	if afterLastRead == 0 {
+		t.Error("no instant fell after a read port's last read — the corner is not covered")
+	}
+	if unprunable == 0 {
+		t.Errorf("no window read more than %d distinct values — the corner is not covered", maxPersistentValues)
 	}
 }

@@ -136,7 +136,7 @@ const (
 	leaseRetryMs = 1
 	// minCarveJobs floors the cost-sized units, so a crash/hang-heavy
 	// campaign (huge per-run cost) still amortises the per-unit fixed
-	// costs (scratch setup, golden-run replay) over a meaningful
+	// costs (scratch setup, journal open, upload) over a meaningful
 	// range.
 	minCarveJobs = 16
 	// carveTargetFloorMs floors the unit-duration target derived from
@@ -344,10 +344,11 @@ func (s *idemStore) put(key string, e idemEntry) {
 	s.order = append(s.order, key)
 }
 
-// NewCoordinator plans the campaign (running the golden runs to pin
-// the config digest) and — with cfg.Resume — restores received
-// records and carved units from the journals under cfg.Dir. Work
-// units are carved lazily as workers ask for them.
+// NewCoordinator plans the campaign (running the golden pass to pin
+// the config digest; its artifact then serves the planner, the
+// process's workers and Assemble) and — with cfg.Resume — restores
+// received records and carved units from the journals under cfg.Dir.
+// Work units are carved lazily as workers ask for them.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := cfg.normalise(); err != nil {
 		return nil, err
@@ -379,8 +380,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		// Auto-size the initial carve from the plan: one unit per
 		// 2*minCarveJobs jobs, capped at the classic default. A quick
 		// campaign of a hundred-odd jobs gets ~3 units instead of 8 —
-		// per-unit fixed costs (scratch setup, golden-run replay) made
-		// a 4-worker fleet slower than one worker on such plans.
+		// per-unit fixed costs made a 4-worker fleet slower than one
+		// worker on such plans.
 		cfg.Units = info.TotalRuns / (2 * minCarveJobs)
 		if cfg.Units > defaultUnits {
 			cfg.Units = defaultUnits
@@ -422,7 +423,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		// decision bit-identically. Carve events are not replayed for
 		// adaptive campaigns (see openAssignmentLog) — fresh units are
 		// claimed from wherever the replayed schedule's frontier sits.
-		planner, err := campaign.NewAdaptivePlanner(c.campaign)
+		gcfg := c.campaign
+		gcfg.Golden, err = runner.Golden(c.campaign, c.runnerOptions())
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		planner, err := campaign.NewAdaptivePlanner(gcfg)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("distrib: building adaptive schedule: %w", err)
@@ -1800,18 +1807,26 @@ func (c *Coordinator) Assemble() (*runner.RunResult, error) {
 		c.journal = nil
 	}
 	c.mu.Unlock()
+	return runner.Assemble(c.campaign, c.runnerOptions())
+}
+
+// runnerOptions are the runner options that digest this campaign as
+// Describe did, carrying the described digest so the runner takes the
+// golden artifact from its table instead of repeating the pass.
+func (c *Coordinator) runnerOptions() runner.Options {
 	opts := runner.Options{
 		Name:           c.cfg.Instance,
 		Tier:           c.cfg.Tier,
 		Dir:            c.cfg.Dir,
 		RunBudgetSteps: c.cfg.RunBudgetSteps,
 		Logf:           c.cfg.Logf,
+		ConfigDigest:   c.info.Digest,
 	}
 	if c.info.Adaptive {
 		opts.Adaptive = campaign.AdaptiveForce
 		opts.CIEpsilon = c.info.CIEpsilon
 	}
-	return runner.Assemble(c.campaign, opts)
+	return opts
 }
 
 // Serve runs the coordinator's HTTP API on l until the campaign

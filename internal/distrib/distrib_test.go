@@ -107,11 +107,10 @@ func TestLoopbackMatchesDirect(t *testing.T) {
 func runPartialWorker(t *testing.T, url, scratch string, maxStream int) (streamed, unitID int) {
 	t.Helper()
 	w := &worker{
-		base:          url,
-		opts:          WorkerOptions{Name: "dying", Dir: scratch, Logf: t.Logf},
-		ctx:           context.Background(),
-		client:        &http.Client{Timeout: 10 * time.Second},
-		describeCache: make(map[string]runner.PlanInfo),
+		base:   url,
+		opts:   WorkerOptions{Name: "dying", Dir: scratch, Logf: t.Logf},
+		ctx:    context.Background(),
+		client: &http.Client{Timeout: 10 * time.Second},
 	}
 	if err := w.opts.normalise(); err != nil {
 		t.Fatal(err)

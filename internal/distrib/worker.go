@@ -169,9 +169,6 @@ type worker struct {
 	// its heartbeat goroutine before returning), so the concurrent
 	// reads in that goroutine are safe.
 	campaign string
-	// describeCache memoises runner.DescribeInstance per work-unit
-	// identity — the golden runs behind it are the expensive part.
-	describeCache map[string]runner.PlanInfo
 }
 
 func newWorker(ctx context.Context, coordinatorURL string, opts WorkerOptions) *worker {
@@ -195,7 +192,6 @@ func newWorker(ctx context.Context, coordinatorURL string, opts WorkerOptions) *
 			Cap:      2 * time.Second,
 			Attempts: opts.MaxErrors,
 		},
-		describeCache: make(map[string]runner.PlanInfo),
 	}
 }
 
@@ -365,39 +361,33 @@ func RunWorkerContext(ctx context.Context, coordinatorURL string, opts WorkerOpt
 	}
 }
 
-// describe resolves and digests the unit's campaign through this
-// worker's own registry, memoised per identity. A unit naming an
-// instance this worker has never heard of but carrying its topology
-// document compiles and registers the document first — the config
-// digest check downstream still guards against a divergent
-// compilation.
-func (w *worker) describe(u *WorkUnit) (runner.PlanInfo, error) {
-	key := fmt.Sprintf("%s|%s|%d|%t|%g", u.Instance, u.Tier, u.RunBudgetSteps, u.Adaptive, u.CIEpsilon)
-	if info, ok := w.describeCache[key]; ok {
-		return info, nil
-	}
+// register makes the unit's instance resolvable in this worker's
+// registry: a unit naming an instance this worker has never heard of
+// but carrying its topology document compiles and registers the
+// document first. The config digest check in runner.Run still guards
+// against a divergent compilation.
+func register(u *WorkUnit) error {
 	if _, err := runner.Lookup(u.Instance); err != nil && u.Document != "" {
 		def, derr := runner.LoadSynthBytes([]byte(u.Document), u.Instance)
 		if derr != nil {
-			return runner.PlanInfo{}, fmt.Errorf("distrib: compiling unit document for %s: %w", u.Instance, derr)
+			return fmt.Errorf("distrib: compiling unit document for %s: %w", u.Instance, derr)
 		}
 		// A registration race with a sibling worker goroutine loses
 		// benignly: the winner registered byte-identical content.
 		_ = runner.Register(def)
 	}
-	info, err := runner.DescribeInstance(u.Instance, runner.Tier(u.Tier), w.unitOptions(u))
-	if err != nil {
-		return runner.PlanInfo{}, err
-	}
-	w.describeCache[key] = info
-	return info, nil
+	return nil
 }
 
 // unitOptions maps the digest-relevant fields a work unit carries onto
-// runner options, so the worker's describe and execution paths agree
-// with the coordinator's digest by construction.
+// runner options, so the worker's execution agrees with the
+// coordinator's digest by construction. The coordinator's digest rides
+// along as ConfigDigest: runner.Run takes the golden artifact from the
+// process's table under it (in a loopback fleet, the one the
+// coordinator's Describe computed) and refuses a local configuration
+// that digests differently — version skew.
 func (w *worker) unitOptions(u *WorkUnit) runner.Options {
-	opts := runner.Options{RunBudgetSteps: u.RunBudgetSteps}
+	opts := runner.Options{RunBudgetSteps: u.RunBudgetSteps, ConfigDigest: u.ConfigDigest}
 	if u.Adaptive {
 		opts.Adaptive = campaign.AdaptiveForce
 		opts.CIEpsilon = u.CIEpsilon
@@ -501,13 +491,8 @@ func (w *worker) encodeChunk(leaseID string, recs []runner.Record, binary bool) 
 // coordinator journaling, just cheap heartbeats.
 func (w *worker) runUnit(lr LeaseResponse) error {
 	u := lr.Unit
-	info, err := w.describe(u)
-	if err != nil {
+	if err := register(u); err != nil {
 		return err
-	}
-	if info.Digest != u.ConfigDigest {
-		return fmt.Errorf("local config digest %s does not match coordinator's %s for %s/%s — version skew: %w",
-			info.Digest, u.ConfigDigest, u.Instance, u.Tier, runner.ErrDigestMismatch)
 	}
 	def, err := runner.Lookup(u.Instance)
 	if err != nil {

@@ -106,6 +106,34 @@ func (inj Injection) String() string {
 	return fmt.Sprintf("%s@%s t=%dms %s", inj.Signal, inj.Module, inj.At, inj.Model)
 }
 
+// Key is a comparable identity of an Injection, for map keys on hot
+// paths where rendering String would dominate. Two injections have
+// equal keys exactly when their String renderings are equal, except
+// that a custom model never shares a key with a built-in one that
+// renders identically.
+type Key struct {
+	Module, Signal string
+	At             sim.Millis
+	// Model is the error model itself for the built-in value types,
+	// whose field equality matches their rendering, and the model's
+	// String rendering for any other type (which may not be
+	// comparable).
+	Model any
+}
+
+// Key returns the injection's comparable identity.
+func (inj Injection) Key() Key {
+	k := Key{Module: inj.Module, Signal: inj.Signal, At: inj.At}
+	switch m := inj.Model.(type) {
+	case nil:
+	case BitFlip, StuckAt, Replace, Offset:
+		k.Model = m
+	default:
+		k.Model = m.String()
+	}
+	return k
+}
+
 // Trap is a one-shot armed trap implementing the injection. Wire its
 // Hook into the target's instrumented reads; the trap fires at the
 // first matching read at or after the injection time, corrupting the

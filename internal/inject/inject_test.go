@@ -215,3 +215,41 @@ func TestPersistentTrapWindow(t *testing.T) {
 		t.Error("Injection() accessor broken")
 	}
 }
+
+// TestKeyMatchesString pins Key's contract: two injections have equal
+// keys exactly when their String renderings are equal — except that a
+// custom model never shares a key with a built-in one, even when it
+// renders like one.
+func TestKeyMatchesString(t *testing.T) {
+	models := []ErrorModel{
+		BitFlip{Bit: 3}, BitFlip{Bit: 12}, BitFlip{Bit: 19},
+		StuckAt{Bit: 3}, StuckAt{Bit: 3, One: true},
+		Replace{Value: 0x5555}, Replace{Value: 3},
+		Offset{Delta: 129}, Offset{Delta: -129}, Offset{Delta: 3},
+		keyModel{"bitflip(3)"}, keyModel{"other"},
+	}
+	var injs []Injection
+	for _, m := range models {
+		for _, at := range []sim.Millis{0, 1500} {
+			for _, sig := range []string{"i", "x"} {
+				injs = append(injs, Injection{Module: "CALC", Signal: sig, At: at, Model: m})
+			}
+		}
+	}
+	for _, a := range injs {
+		for _, b := range injs {
+			_, customA := a.Model.(keyModel)
+			_, customB := b.Model.(keyModel)
+			want := a.String() == b.String() && customA == customB
+			if (a.Key() == b.Key()) != want {
+				t.Errorf("%v vs %v: keys equal %t, want %t", a, b, a.Key() == b.Key(), want)
+			}
+		}
+	}
+}
+
+// keyModel is a non-built-in error model with a chosen rendering.
+type keyModel struct{ name string }
+
+func (keyModel) Mutate(v uint16) uint16 { return v }
+func (m keyModel) String() string       { return m.name }

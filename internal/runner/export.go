@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"propane/internal/campaign"
+	"propane/internal/inject"
 )
 
 // This file is the runner's contract with external orchestrators —
@@ -46,32 +47,17 @@ type PlanInfo struct {
 
 // Describe computes the digestable identity of a campaign exactly as
 // Run would: supervision options folded in, the config validated, the
-// plan enumerated and the golden runs executed and hashed. It touches
-// no files. The golden runs make it as expensive as Run's own startup
-// — cache the result per configuration.
+// plan enumerated and the golden pass run and hashed. It touches no
+// files. The pass's artifact is published to the process's golden
+// table under the returned digest, so Run, Assemble and Golden given
+// opts.ConfigDigest = PlanInfo.Digest reuse it instead of repeating
+// the pass.
 func Describe(cfg campaign.Config, opts Options) (PlanInfo, error) {
-	opts.Shards = 1
-	opts.Shard = 0
-	if opts.Dir == "" {
-		opts.Dir = "." // normalise demands one; Describe never uses it
-	}
-	if err := opts.normalise(); err != nil {
-		return PlanInfo{}, err
-	}
-	opts.applySupervision(&cfg)
-	opts.applyAdaptive(&cfg)
-	if err := cfg.Validate(); err != nil {
-		return PlanInfo{}, err
-	}
-	plan, err := cfg.Plan()
+	cfg, opts, plan, err := prepare(cfg, opts)
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	digests, err := goldenDigests(cfg)
-	if err != nil {
-		return PlanInfo{}, err
-	}
-	snap, err := newSnapshot(opts.Name, opts.Tier, cfg, len(plan), digests)
+	_, snap, err := resolveGolden(cfg, opts, len(plan))
 	if err != nil {
 		return PlanInfo{}, err
 	}
@@ -85,6 +71,41 @@ func Describe(cfg campaign.Config, opts Options) (PlanInfo, error) {
 		Adaptive:  snap.Adaptive,
 		CIEpsilon: snap.CIEpsilon,
 	}, nil
+}
+
+// Golden returns the golden artifact of the campaign cfg and opts
+// describe, for drivers that hand it to the campaign engine themselves
+// (the distributed coordinator's adaptive planner, via
+// campaign.Config.Golden). With opts.ConfigDigest set it is a table
+// lookup, running the pass only on a miss; ErrDigestMismatch reports a
+// configuration that digests differently.
+func Golden(cfg campaign.Config, opts Options) (*campaign.GoldenSet, error) {
+	cfg, opts, plan, err := prepare(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	gs, _, err := resolveGolden(cfg, opts, len(plan))
+	return gs, err
+}
+
+// prepare folds the options into an unsharded configuration exactly
+// as Run does before digesting it, and enumerates the plan.
+func prepare(cfg campaign.Config, opts Options) (campaign.Config, Options, []inject.Injection, error) {
+	opts.Shards = 1
+	opts.Shard = 0
+	if opts.Dir == "" {
+		opts.Dir = "." // normalise demands one; Describe never uses it
+	}
+	if err := opts.normalise(); err != nil {
+		return cfg, opts, nil, err
+	}
+	opts.applySupervision(&cfg)
+	opts.applyAdaptive(&cfg)
+	if err := cfg.Validate(); err != nil {
+		return cfg, opts, nil, err
+	}
+	plan, err := cfg.Plan()
+	return cfg, opts, plan, err
 }
 
 // DescribeInstance resolves a named registry instance and describes

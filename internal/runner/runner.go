@@ -127,6 +127,14 @@ type Options struct {
 	// coordinator, and rendering a full analysis report per unit would
 	// charge every unit the cost of the final assembly.
 	SkipReport bool
+	// ConfigDigest, when non-empty, is the config digest the caller
+	// already holds: a Describe result's PlanInfo.Digest, or a work
+	// unit's coordinator digest. Run, Assemble and Golden then take the
+	// golden artifact from the process's table under that digest
+	// instead of repeating the golden pass (running it only on a miss),
+	// and fail with ErrDigestMismatch before touching any file when
+	// this configuration digests differently.
+	ConfigDigest string
 	// Memo, when non-nil, plugs a persistent memo store behind the
 	// campaign's in-process result cache, so identical experiments are
 	// reused across campaigns and process restarts. The runner scopes
@@ -270,35 +278,29 @@ type RunResult struct {
 	Dir string
 }
 
-// jobKey identifies one (injection, test case) job independently of
-// process lifetime; inject.Injection.String() is unique within a
-// plan.
-type jobKey struct {
-	inj     string
-	caseIdx int
-}
-
 // jobIndexer maps jobs to their position in the campaign's
-// deterministic enumeration (plan-index major, case-index minor).
+// deterministic enumeration (plan-index major, case-index minor). Jobs
+// are identified by content — inject.Injection.Key() is unique within
+// a plan — so the mapping holds across process lifetimes.
 type jobIndexer struct {
-	idx   map[jobKey]int
+	plan  map[inject.Key]int
 	cases int
 }
 
 func newJobIndexer(plan []inject.Injection, cases int) *jobIndexer {
-	ji := &jobIndexer{idx: make(map[jobKey]int, len(plan)*cases), cases: cases}
+	ji := &jobIndexer{plan: make(map[inject.Key]int, len(plan)), cases: cases}
 	for pi, inj := range plan {
-		s := inj.String()
-		for ci := 0; ci < cases; ci++ {
-			ji.idx[jobKey{s, ci}] = pi*cases + ci
-		}
+		ji.plan[inj.Key()] = pi
 	}
 	return ji
 }
 
 func (ji *jobIndexer) index(inj inject.Injection, caseIdx int) (int, bool) {
-	i, ok := ji.idx[jobKey{inj.String(), caseIdx}]
-	return i, ok
+	pi, ok := ji.plan[inj.Key()]
+	if !ok || caseIdx < 0 || caseIdx >= ji.cases {
+		return 0, false
+	}
+	return pi*ji.cases + caseIdx, true
 }
 
 // RunInstance resolves a named instance from the registry and runs
@@ -350,19 +352,16 @@ func Run(cfg campaign.Config, opts Options) (*RunResult, error) {
 	sys := cfg.System()
 	ji := newJobIndexer(plan, len(cfg.TestCases))
 
+	golden, snap, err := resolveGolden(cfg, opts, len(plan))
+	if err != nil {
+		return nil, err
+	}
+	cfg.Golden = golden
+
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runner: creating artifact dir: %w", err)
 	}
 	l := layout{dir: opts.Dir}
-
-	digests, err := goldenDigests(cfg)
-	if err != nil {
-		return nil, err
-	}
-	snap, err := newSnapshot(opts.Name, opts.Tier, cfg, len(plan), digests)
-	if err != nil {
-		return nil, err
-	}
 	if err := writeSnapshot(l.configPath(), snap, opts.Resume); err != nil {
 		return nil, err
 	}
@@ -634,14 +633,11 @@ func Assemble(cfg campaign.Config, opts Options) (*RunResult, error) {
 		return nil, fmt.Errorf("runner: no journals under %s", opts.Dir)
 	}
 
-	digests, err := goldenDigests(cfg)
+	golden, snap, err := resolveGolden(cfg, opts, len(plan))
 	if err != nil {
 		return nil, err
 	}
-	snap, err := newSnapshot(opts.Name, opts.Tier, cfg, len(plan), digests)
-	if err != nil {
-		return nil, err
-	}
+	cfg.Golden = golden
 	if err := writeSnapshot(l.configPath(), snap, true); err != nil {
 		return nil, err
 	}

@@ -703,7 +703,7 @@ func (s *Service) nextActivatable() *campaignState {
 	return nil
 }
 
-// activate builds the campaign's coordinator (planning golden runs —
+// activate builds the campaign's coordinator (running the golden pass —
 // deliberately outside the service lock) and opens it for leasing.
 func (s *Service) activate(cs *campaignState) {
 	fail := func(err error) {

@@ -134,7 +134,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 // The integer helpers take the concrete buffered writer/reader and
 // move bytes one at a time: handing a stack buffer to an io.Writer
 // interface makes it escape, and writeUint16 runs once per trace
-// sample — on the hot path of every golden-digest pass, that was one
+// sample — on the hot path of every golden trace digest, that was one
 // heap allocation per sample.
 
 func writeUint16(w *bufio.Writer, v uint16) (int, error) {

@@ -7,13 +7,12 @@ import (
 )
 
 // Scratch-buffer pooling for the campaign hot path. Every injection
-// run needs a StreamComparator (handles, golden-sample and diff
-// slices) and every golden-digest pass a Recorder; both allocate
-// per-signal slices that are identical in shape from run to run, so
-// they are recycled through sync.Pools. Acquire falls back to a fresh
-// construction whenever the pooled object's shape does not match the
-// requested bus/trace, so callers never observe a difference from
-// New*.
+// run needs a StreamComparator, whose handles, golden-sample and diff
+// slices are identical in shape from run to run, so comparators are
+// recycled through a sync.Pool. Acquire falls back to a fresh
+// construction whenever the pooled comparator's shape does not match
+// the requested bus/trace, so callers never observe a difference from
+// NewStreamComparator.
 
 var comparatorPool = sync.Pool{New: func() any { return nil }}
 
@@ -65,57 +64,5 @@ func (c *StreamComparator) rebind(golden *Trace, bus *sim.Bus) bool {
 	c.golden = golden
 	c.tol = nil
 	c.tick = 0
-	return true
-}
-
-var recorderPool = sync.Pool{New: func() any { return nil }}
-
-// AcquireRecorder returns a recorder over the bus's signals with
-// buffers for `capacity` ticks, recycling a pooled one when its shape
-// matches.
-//
-// HAZARD: Recorder.Trace returns the recorder's one retained *Trace;
-// ReleaseRecorder truncates its sample series in place. Only release
-// a recorder whose trace is fully consumed and discarded (hashing,
-// digesting). A trace that outlives the run — like the campaign's
-// golden traces — must come from a recorder that is never released.
-func AcquireRecorder(bus *sim.Bus, capacity int) (*Recorder, error) {
-	if r, _ := recorderPool.Get().(*Recorder); r != nil && r.rebind(bus, capacity) {
-		return r, nil
-	}
-	return NewRecorderCap(bus, capacity)
-}
-
-// ReleaseRecorder recycles a recorder obtained from AcquireRecorder.
-// See the aliasing hazard there: the recorder's trace must be dead.
-func ReleaseRecorder(r *Recorder) {
-	if r != nil {
-		recorderPool.Put(r)
-	}
-}
-
-// rebind points a used recorder at a new bus, truncating (and, when
-// the requested capacity grew, reallocating) its sample buffers.
-func (r *Recorder) rebind(bus *sim.Bus, capacity int) bool {
-	names := bus.Names()
-	if len(names) != len(r.handles) || len(names) != len(r.trace.signals) {
-		return false
-	}
-	for i, n := range names {
-		if r.trace.signals[i] != n {
-			return false
-		}
-		s, err := bus.Lookup(n)
-		if err != nil {
-			return false
-		}
-		r.handles[i] = s
-		if cap(r.series[i]) < capacity {
-			r.series[i] = make([]uint16, 0, capacity)
-		} else {
-			r.series[i] = r.series[i][:0]
-		}
-	}
-	r.bus = bus
 	return true
 }
